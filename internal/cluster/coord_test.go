@@ -445,12 +445,7 @@ func TestCoordinatorBodyErrorMapping(t *testing.T) {
 // httptest) for end-to-end coordinator tests.
 func newServeWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	sel, err := selector.NewRandom(rand.New(rand.NewSource(1)),
-		nn.UNetConfig{InChannels: selector.NumFeatures, Base: 2, Depth: 1, Kernel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := serve.NewService(serve.Config{Selector: sel})
+	s, err := serve.NewService(serve.Config{Selector: testSelector(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,6 +453,18 @@ func newServeWorker(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// testSelector is the tiny seeded selector every test worker serves with;
+// each call builds a private copy with identical weights.
+func testSelector(t *testing.T) *selector.Selector {
+	t.Helper()
+	sel, err := selector.NewRandom(rand.New(rand.NewSource(1)),
+		nn.UNetConfig{InChannels: selector.NumFeatures, Base: 2, Depth: 1, Kernel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
 }
 
 // TestClusterEndToEnd drives the full stack through the public client:

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve serve-smoke store-smoke cluster-smoke clean
+.PHONY: all build test test-short bench bench-gate bench-all bench-fault bench-store check check-fast fmt-check crash-test chaos-test chaos-test-short lint lint-cold fuzz vet experiments examples train train-resume serve serve-smoke store-smoke cluster-smoke clean
 
 all: build test
 
@@ -41,7 +41,11 @@ check: vet lint
 
 # Static analysis only (no race detector): fast enough for a pre-commit
 # hook.
-check-fast: vet lint
+check-fast: fmt-check vet lint
+
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
 
 # Deterministic chaos suite. First the unit layer under the race detector
 # (breakers, coordinator state recovery, replication, agent backoff,

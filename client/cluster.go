@@ -32,7 +32,7 @@ func (c *Client) RenewLease(ctx context.Context, id string) (*wire.LeaseResponse
 	return &resp, nil
 }
 
-// Replicate installs a finished route into a worker's cache tiers; the
+// Replicate installs a finished route into a worker's route tier; the
 // coordinator calls it against the next ring replica after a fresh
 // answer. The worker re-validates before installing.
 func (c *Client) Replicate(ctx context.Context, req wire.ReplicateRequest) (*wire.ReplicateResponse, error) {

@@ -57,9 +57,9 @@ func main() {
 		queueSize   = flag.Int("queue", 64, "job queue capacity (overflow returns 429)")
 		maxBatch    = flag.Int("batch", 8, "max layouts per scheduler batch")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for more requests")
-		cacheSize   = flag.Int("cache", 256, "routed-layout LRU capacity (negative disables)")
+		cacheSize   = flag.Int("cache", 256, "route cache capacity in layouts without -store-dir (negative disables; -store-entries bounds it with -store-dir)")
 		storeDir    = flag.String("store-dir", "", "persistent route store directory (empty disables; restarts serve previously-routed layouts warm)")
-		storeMax    = flag.Int("store-entries", 4096, "persistent route store live-record bound")
+		storeMax    = flag.Int("store-entries", 4096, "route records kept in memory and on disk with -store-dir (replaces -cache as the bound)")
 		storeFlush  = flag.Int("store-flush", 0, "routes per background store segment write (0 = store default)")
 		maxVolume   = flag.Int("max-volume", 1<<20, "max Hanan-graph vertices per layout")
 		timeout     = flag.Duration("timeout", 60*time.Second, "default per-request deadline (0 = none)")
@@ -173,7 +173,7 @@ func main() {
 			}
 		}
 		if *storeDir != "" {
-			log.Printf("route store: %s (max %d entries)", *storeDir, *storeMax)
+			log.Printf("route store: %s (max %d entries, bounding the route cache in place of -cache)", *storeDir, *storeMax)
 		}
 		log.Printf("listening on %s (queue %d, batch %d, cache %d)",
 			ln.Addr(), *queueSize, *maxBatch, *cacheSize)

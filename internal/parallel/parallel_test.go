@@ -181,14 +181,14 @@ func TestShardsForWork(t *testing.T) {
 	cases := []struct {
 		work, n, want int
 	}{
-		{work: 50, n: 8, want: 1},     // under the floor: inline serial
-		{work: 199, n: 8, want: 1},    // under 2x the floor: still serial
-		{work: 200, n: 8, want: 2},    // exactly 2x: two full shards
-		{work: 450, n: 8, want: 4},    // work/min shards, below Workers()
-		{work: 10000, n: 8, want: 8},  // plenty of work: all workers
-		{work: 10000, n: 3, want: 3},  // capped by unit count
-		{work: 10000, n: 1, want: 1},  // a single unit cannot split
-		{work: 10000, n: 0, want: 1},  // nothing to do
+		{work: 50, n: 8, want: 1},    // under the floor: inline serial
+		{work: 199, n: 8, want: 1},   // under 2x the floor: still serial
+		{work: 200, n: 8, want: 2},   // exactly 2x: two full shards
+		{work: 450, n: 8, want: 4},   // work/min shards, below Workers()
+		{work: 10000, n: 8, want: 8}, // plenty of work: all workers
+		{work: 10000, n: 3, want: 3}, // capped by unit count
+		{work: 10000, n: 1, want: 1}, // a single unit cannot split
+		{work: 10000, n: 0, want: 1}, // nothing to do
 	}
 	for _, c := range cases {
 		if got := ShardsForWork(c.work, c.n); got != c.want {

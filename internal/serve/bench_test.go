@@ -51,8 +51,8 @@ func benchService(b *testing.B, cfg Config) *Service {
 	return s
 }
 
-// BenchmarkStoreColdRoute is the baseline: every request misses both tiers
-// and runs inference + OARMST construction.
+// BenchmarkStoreColdRoute is the baseline: caching is disabled, so every
+// request runs inference + OARMST construction.
 func BenchmarkStoreColdRoute(b *testing.B) {
 	s := benchService(b, Config{CacheSize: -1})
 	in := benchInstance(b, 1)
@@ -65,7 +65,8 @@ func BenchmarkStoreColdRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWarmMemoryRoute serves every request from the memory LRU.
+// BenchmarkStoreWarmMemoryRoute serves every request from a record the
+// memory-only route tier admitted in this process.
 func BenchmarkStoreWarmMemoryRoute(b *testing.B) {
 	s := benchService(b, Config{})
 	in := benchInstance(b, 1)
@@ -85,10 +86,10 @@ func BenchmarkStoreWarmMemoryRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreWarmDiskRoute serves every request from the disk tier of a
-// freshly restarted service: the memory LRU is disabled, so each request
-// pays the store lookup + canonical replay — the steady-state latency of a
-// layout a previous process routed.
+// BenchmarkStoreWarmDiskRoute serves every request from a record a
+// freshly restarted service loaded off disk: each request pays the store
+// lookup + canonical replay — the steady-state latency of a layout a
+// previous process routed.
 func BenchmarkStoreWarmDiskRoute(b *testing.B) {
 	dir := b.TempDir()
 	sel := benchSelector(b)
@@ -100,7 +101,7 @@ func BenchmarkStoreWarmDiskRoute(b *testing.B) {
 	}
 	cold.Close()
 
-	warm := benchService(b, Config{Selector: sel, StoreDir: dir, CacheSize: -1})
+	warm := benchService(b, Config{Selector: sel, StoreDir: dir})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := warm.Submit(ctx, in)

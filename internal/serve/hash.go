@@ -10,14 +10,16 @@ import (
 
 	"oarsmt/internal/grid"
 	"oarsmt/internal/layout"
+	"oarsmt/internal/store"
 )
 
 // cacheKey is the augmentation-normalized identity of a layout: the
 // smallest SHA-256 digest over the serializations of its 16 augmented
 // variants (paper §3.6's augmentation group: 4 rotations x H-mirror x
 // Z-mirror). Two layouts share a key exactly when one is an augmentation
-// of the other, so a cached route for any orientation serves all 16.
-type cacheKey [sha256.Size]byte
+// of the other, so a cached route for any orientation serves all 16. It is
+// the route store's content address.
+type cacheKey = store.Key
 
 // CanonicalKey returns the hex form of the instance's augmentation-
 // normalized cache key. The cluster coordinator shards requests by this

@@ -16,7 +16,7 @@ import (
 
 // This file is the receiving half of the cluster's replica fan-out: the
 // coordinator POSTs a finished route to the next ring replica
-// (/v1/replicate), and the worker installs it into both cache tiers after
+// (/v1/replicate), and the worker installs it into its route tier after
 // rebuilding and re-validating the tree against the layout. The validate
 // step is the whole safety story — a corrupt, stale, or malicious payload
 // is rejected with ErrInvalidTree, so a replicated entry can make a shard
@@ -24,9 +24,9 @@ import (
 
 // Install rebuilds the routed tree carried by a replicated response,
 // validates it against the layout's graph and pins, and installs it into
-// the memory LRU and the persistent store. It returns false when the
-// entry was declined because an equivalent one is already cached (not an
-// error: replication is idempotent).
+// the route tier (written through to disk with a store directory). It
+// returns false when the entry was declined because an equivalent one is
+// already cached (not an error: replication is idempotent).
 func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, error) {
 	if in == nil || in.Graph == nil || resp == nil {
 		return false, fmt.Errorf("%w: serve: replicate: nil instance or response", errs.ErrInvalidLayout)
@@ -39,7 +39,7 @@ func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, 
 		return false, ErrClosed
 	}
 	if resp.Degraded {
-		// A degraded answer must never enter a cache tier; replicating one
+		// A degraded answer must never enter the route tier; replicating one
 		// would poison the successor's shard.
 		return false, fmt.Errorf("%w: serve: replicate: degraded response", errs.ErrInvalidTree)
 	}
@@ -49,18 +49,14 @@ func (s *Service) Install(in *layout.Instance, resp *wire.RouteResponse) (bool, 
 	}
 
 	key, toCanon := canonicalize(in)
-	if s.cache != nil {
-		if e, ok := s.cache.get(key); ok {
-			if _, _, valid := treeFromEntry(in, toCanon, e); valid {
-				return false, nil
-			}
+	if rec, ok := s.get(key); ok {
+		if _, _, valid := treeFromRecord(in, toCanon, rec); valid {
+			return false, nil
 		}
 	}
-	e := entryFromTree(in, toCanon, tree, steiner, resp.UsedSteiner, resp.Proposed)
-	if s.cache != nil {
-		s.cache.add(key, e)
+	if s.routes != nil {
+		s.routes.Put(recordFromTree(key, in, toCanon, tree, steiner, resp.UsedSteiner, resp.Proposed))
 	}
-	s.storePut(key, e)
 	return true, nil
 }
 

@@ -15,18 +15,16 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	submitted   *obs.Counter // requests accepted (queued or served from cache)
-	completed   *obs.Counter // jobs answered successfully
-	failed      *obs.Counter // jobs answered with an error
-	rejected    *obs.Counter // submissions shed with ErrQueueFull (HTTP 429)
+	submitted *obs.Counter // requests accepted (queued or served from cache)
+	completed *obs.Counter // jobs answered successfully
+	failed    *obs.Counter // jobs answered with an error
+	rejected  *obs.Counter // submissions shed with ErrQueueFull (HTTP 429)
+	// cacheHits counts answers from route-tier records admitted in this
+	// process; storeServed counts answers from records loaded from a
+	// segment at Open (the store's own store.hits counts index lookups).
+	// The tier's evictions export as the serve.cache.evictions gauge.
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	// cacheEvictions counts memory-LRU evictions (serve.cache.evictions):
-	// previously the cache recycled entries silently, leaving cache
-	// pressure invisible on /metrics.
-	cacheEvictions *obs.Counter
-	// storeServed counts requests answered from the persistent disk tier
-	// after validation (the store's own store.hits counts index lookups).
 	storeServed *obs.Counter
 	batches     *obs.Counter // same-size groups processed
 	batchedJobs *obs.Counter // jobs carried by those groups
@@ -37,8 +35,8 @@ type metrics struct {
 	// and refused (validation failure, degraded payload, draining).
 	replicated        *obs.Counter
 	replicateRejected *obs.Counter
-	maxBatch    *obs.Gauge   // high-watermark of jobs per group
-	latency     *obs.Histogram
+	maxBatch          *obs.Gauge // high-watermark of jobs per group
+	latency           *obs.Histogram
 }
 
 // newMetrics builds the service registry. The queue/cache/uptime gauges
@@ -47,24 +45,23 @@ type metrics struct {
 func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	return &metrics{
-		reg:         reg,
-		submitted:   reg.Counter("serve.submitted"),
-		completed:   reg.Counter("serve.completed"),
-		failed:      reg.Counter("serve.failed"),
-		rejected:    reg.Counter("serve.rejected"),
-		cacheHits:      reg.Counter("serve.cache_hits"),
-		cacheMisses:    reg.Counter("serve.cache_misses"),
-		cacheEvictions: reg.Counter("serve.cache.evictions"),
-		storeServed:    reg.Counter("serve.store_served"),
-		batches:     reg.Counter("serve.batches"),
-		batchedJobs: reg.Counter("serve.batched_jobs"),
-		inferences:  reg.Counter("serve.inferences"),
-		degraded:    reg.Counter("serve.degraded"),
-		retries:     reg.Counter("serve.retries"),
+		reg:               reg,
+		submitted:         reg.Counter("serve.submitted"),
+		completed:         reg.Counter("serve.completed"),
+		failed:            reg.Counter("serve.failed"),
+		rejected:          reg.Counter("serve.rejected"),
+		cacheHits:         reg.Counter("serve.cache_hits"),
+		cacheMisses:       reg.Counter("serve.cache_misses"),
+		storeServed:       reg.Counter("serve.store_served"),
+		batches:           reg.Counter("serve.batches"),
+		batchedJobs:       reg.Counter("serve.batched_jobs"),
+		inferences:        reg.Counter("serve.inferences"),
+		degraded:          reg.Counter("serve.degraded"),
+		retries:           reg.Counter("serve.retries"),
 		replicated:        reg.Counter("serve.replicated"),
 		replicateRejected: reg.Counter("serve.replicate_rejected"),
-		maxBatch:    reg.Gauge("serve.max_batch"),
-		latency:     reg.Histogram("serve.latency"),
+		maxBatch:          reg.Gauge("serve.max_batch"),
+		latency:           reg.Histogram("serve.latency"),
 	}
 }
 
@@ -84,32 +81,30 @@ type Stats = wire.Stats
 func (s *Service) Stats() Stats {
 	m := s.m
 	st := Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.cfg.QueueSize,
-		Submitted:     m.submitted.Load(),
-		Completed:     m.completed.Load(),
-		Failed:        m.failed.Load(),
-		Rejected:      m.rejected.Load(),
-		CacheHits:     m.cacheHits.Load(),
-		CacheMisses:   m.cacheMisses.Load(),
-		Inferences:    m.inferences.Load(),
-		Degraded:      m.degraded.Load(),
-		Retries:       m.retries.Load(),
+		UptimeSeconds:     time.Since(s.start).Seconds(),
+		QueueDepth:        len(s.queue),
+		QueueCapacity:     s.cfg.QueueSize,
+		Submitted:         m.submitted.Load(),
+		Completed:         m.completed.Load(),
+		Failed:            m.failed.Load(),
+		Rejected:          m.rejected.Load(),
+		CacheHits:         m.cacheHits.Load(),
+		CacheMisses:       m.cacheMisses.Load(),
+		Inferences:        m.inferences.Load(),
+		Degraded:          m.degraded.Load(),
+		Retries:           m.retries.Load(),
 		Replicated:        m.replicated.Load(),
 		ReplicateRejected: m.replicateRejected.Load(),
-		Batches:       m.batches.Load(),
-		BatchedJobs:   m.batchedJobs.Load(),
-		MaxBatch:      m.maxBatch.Load(),
-		P50Millis:     float64(m.latency.Percentile(0.50).Microseconds()) / 1000,
-		P99Millis:     float64(m.latency.Percentile(0.99).Microseconds()) / 1000,
+		Batches:           m.batches.Load(),
+		BatchedJobs:       m.batchedJobs.Load(),
+		MaxBatch:          m.maxBatch.Load(),
+		P50Millis:         float64(m.latency.Percentile(0.50).Microseconds()) / 1000,
+		P99Millis:         float64(m.latency.Percentile(0.99).Microseconds()) / 1000,
 	}
-	st.CacheEvictions = m.cacheEvictions.Load()
-	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-	}
-	if s.store != nil {
-		ss := s.store.Stats()
+	ss := s.tierStats()
+	st.CacheEntries = ss.Entries
+	st.CacheEvictions = ss.Evictions
+	if s.cfg.StoreDir != "" {
 		st.StoreEntries = ss.Entries
 		st.StoreSegments = ss.Segments
 		st.StoreHits = ss.Hits

@@ -45,9 +45,9 @@ func TestStoreWarmRestartBitIdentical(t *testing.T) {
 
 	// "Restart": a brand-new service over the same directory, with a
 	// selector rebuilt from the same seed — exactly what a daemon restart
-	// loading the same model file does. The memory cache is disabled so
-	// every answer must come off disk.
-	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: -1})
+	// loading the same model file does. Every answer must come from a
+	// record loaded off disk.
+	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
 	if st := warm.Stats(); st.StoreEntries != len(want) {
 		t.Fatalf("warm store loaded %d entries, want %d", st.StoreEntries, len(want))
 	}
@@ -127,7 +127,7 @@ func TestStoreHitAcrossOrientationsAfterRestart(t *testing.T) {
 	}
 	cold.Close()
 
-	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir, CacheSize: -1})
+	warm := newTestService(t, Config{Selector: tinySelector(t), StoreDir: dir})
 	for _, a := range grid.AllAugmentations() {
 		resp, err := warm.Submit(context.Background(), augmentInstance(in, a))
 		if err != nil {
@@ -142,38 +142,84 @@ func TestStoreHitAcrossOrientationsAfterRestart(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionCounterAndTierSizes covers the new observability: the
-// memory LRU's evictions surface on serve.cache.evictions / /stats, and
-// both tiers' sizes appear side by side in the snapshot.
+// TestCacheEvictionCounterAndTierSizes pins the single route tier's sizes
+// and evictions on /stats and the registry. With a store directory the
+// store's index is the tier and StoreMaxEntries bounds it (CacheSize is
+// unused); without one, CacheSize bounds the memory-only tier, and a
+// negative CacheSize disables caching.
 func TestCacheEvictionCounterAndTierSizes(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: 2, StoreDir: dir})
-	for i := 0; i < 5; i++ {
-		if _, err := s.Submit(context.Background(), serveInstance(t, int64(400+i), 6, 6, 2, 4)); err != nil {
+	submit := func(s *Service, seed int64) *Response {
+		t.Helper()
+		resp, err := s.Submit(context.Background(), serveInstance(t, seed, 6, 6, 2, 4))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return resp
 	}
-	st := s.Stats()
-	if st.CacheEvictions != 3 { // 5 distinct layouts through a 2-entry LRU
-		t.Errorf("cacheEvictions = %d, want 3", st.CacheEvictions)
-	}
-	if st.CacheEntries != 2 {
-		t.Errorf("cacheEntries = %d, want 2", st.CacheEntries)
-	}
-	if st.StoreEntries != 5 { // disk tier is not bounded by the memory LRU
-		t.Errorf("storeEntries = %d, want 5", st.StoreEntries)
-	}
-	// The canonical gauges are registered and live.
-	snap := s.Registry().Snapshot()
-	if got := snap.Gauges["serve.cache.size"]; got != 2 {
-		t.Errorf("serve.cache.size gauge = %v, want 2", got)
-	}
-	if got := snap.Counters["serve.cache.evictions"]; got != 3 {
-		t.Errorf("serve.cache.evictions counter = %v, want 3", got)
-	}
-	if got := snap.Gauges["store.entries"]; got != 5 {
-		t.Errorf("store.entries gauge = %v, want 5", got)
-	}
+
+	t.Run("store", func(t *testing.T) {
+		s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: 2, StoreDir: t.TempDir(), StoreMaxEntries: 3})
+		for i := 0; i < 5; i++ {
+			submit(s, int64(400+i))
+		}
+		st := s.Stats()
+		if st.CacheEntries != 3 || st.StoreEntries != 3 {
+			t.Errorf("cacheEntries = %d, storeEntries = %d, want 3 and 3 (one tier)", st.CacheEntries, st.StoreEntries)
+		}
+		if st.CacheEvictions != 2 || st.StoreEvictions != 2 { // 5 layouts through a 3-record tier
+			t.Errorf("cacheEvictions = %d, storeEvictions = %d, want 2 and 2", st.CacheEvictions, st.StoreEvictions)
+		}
+		snap := s.Registry().Snapshot()
+		for name, want := range map[string]float64{"serve.cache.size": 3, "store.entries": 3, "serve.cache.evictions": 2} {
+			if got := snap.Gauges[name]; got != want {
+				t.Errorf("%s gauge = %v, want %v", name, got, want)
+			}
+		}
+		if got := snap.Counters["store.evictions"]; got != 2 {
+			t.Errorf("store.evictions counter = %v, want 2", got)
+		}
+		if !submit(s, 404).CacheHit || submit(s, 401).CacheHit {
+			t.Error("the tier did not keep exactly the most recent layouts")
+		}
+	})
+
+	t.Run("memory", func(t *testing.T) {
+		s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: 2})
+		for i := 0; i < 5; i++ {
+			submit(s, int64(400+i))
+		}
+		st := s.Stats()
+		if st.CacheEntries != 2 || st.CacheEvictions != 3 { // 5 layouts through a 2-record tier
+			t.Errorf("cacheEntries = %d, cacheEvictions = %d, want 2 and 3", st.CacheEntries, st.CacheEvictions)
+		}
+		if st.StoreEntries != 0 || st.StoreEvictions != 0 {
+			t.Errorf("memory-only tier reported store sizes: %+v", st)
+		}
+		snap := s.Registry().Snapshot()
+		if got := snap.Gauges["serve.cache.size"]; got != 2 {
+			t.Errorf("serve.cache.size gauge = %v, want 2", got)
+		}
+		if got := snap.Gauges["serve.cache.evictions"]; got != 3 {
+			t.Errorf("serve.cache.evictions gauge = %v, want 3", got)
+		}
+		if _, ok := snap.Gauges["store.entries"]; ok {
+			t.Error("memory-only tier exported store.* metrics")
+		}
+		if !submit(s, 404).CacheHit || submit(s, 400).CacheHit {
+			t.Error("the tier did not keep exactly the most recent layouts")
+		}
+	})
+
+	t.Run("disabled", func(t *testing.T) {
+		s := newTestService(t, Config{Selector: tinySelector(t), CacheSize: -1})
+		submit(s, 400)
+		if submit(s, 400).CacheHit {
+			t.Error("a disabled tier served a cache hit")
+		}
+		if st := s.Stats(); st.CacheEntries != 0 || st.CacheEvictions != 0 {
+			t.Errorf("disabled tier sizes: %+v", st)
+		}
+	})
 }
 
 // otherSelector returns a selector with different weights than

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"oarsmt/internal/ckpt"
 	"oarsmt/internal/fault"
@@ -26,20 +27,27 @@ type Key [32]byte
 // route.
 type Fingerprint [32]byte
 
-// Record is one routed layout in its canonical orientation: the same
-// coordinate-space shape internal/serve caches in memory, so an entry can
-// be replayed into any of the 16 symmetric request orientations. Records
-// handed out by Get are shared and must be treated as read-only.
+// Record is one routed layout in its canonical orientation. Coordinates
+// rather than vertex IDs are stored, so a record can be replayed into any
+// of the 16 symmetric request orientations without keeping the canonical
+// graph alive. Records handed out by Get are shared and must be treated as
+// read-only.
 type Record struct {
-	Key     Key
-	H, V, M int        // canonical grid dimensions
-	Root    grid.Coord // tree root, canonical space
-	Edges   [][2]grid.Coord
-	Steiner []grid.Coord
+	Key         Key
+	H, V, M     int        // canonical grid dimensions
+	Root        grid.Coord // tree root, canonical space
+	Edges       [][2]grid.Coord
+	Steiner     []grid.Coord // irredundant Steiner points kept in the tree
 	UsedSteiner bool
 	Proposed    int // Steiner points the selector proposed
 	Cost        float64
+
+	loaded bool // read from a segment at Open
 }
+
+// Loaded reports whether the record was read from a segment when the store
+// was opened, rather than admitted by Put since.
+func (r *Record) Loaded() bool { return r.loaded }
 
 // Segment payload layout (wrapped in an internal/ckpt frame, which carries
 // the magic, version, length and SHA-256 trailer):
@@ -64,8 +72,8 @@ type Record struct {
 // The encoding is deterministic: segments written from the same records in
 // the same order are bit-identical, which keeps compaction reproducible.
 const (
-	segMagic   = "OARSMTSG"
-	segVersion = 1
+	segMagic      = "OARSMTSG"
+	segVersion    = 1
 	segHeaderSize = len(segMagic) + 4 + 32 + 8
 	recFixedSize  = 32 + 3*4 + 3*4 + 8 + 1 + 4 + 4 + 4 // everything but the coord arrays
 	edgeSize      = 6 * 4
@@ -314,7 +322,8 @@ func listSegments(dir string) ([]segEntry, error) {
 //
 // Fault point `store.write`: Error aborts before the rename (a clean
 // crash), Partial renames a frame truncated mid-payload onto the final
-// name (a torn write) so recovery paths can be exercised deterministically.
+// name (a torn write) so recovery paths can be exercised deterministically,
+// and Delay stalls the write (a slow disk) before landing it intact.
 func writeSegmentFile(dir string, seq int, payload []byte) (string, error) {
 	final := filepath.Join(dir, segName(seq))
 	tmp := final + ".tmp"
@@ -331,6 +340,8 @@ func writeSegmentFile(dir string, seq int, payload []byte) (string, error) {
 		case fault.Partial:
 			data = data[:len(data)/2]
 			torn = true
+		case fault.Delay:
+			time.Sleep(v.Delay)
 		default:
 			return "", fmt.Errorf("store: write %s: %w", final, v.Err)
 		}

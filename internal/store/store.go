@@ -1,9 +1,12 @@
-// Package store is the persistent, content-addressed route store behind
-// internal/serve: the disk tier that lets a restarted daemon serve
-// previously-routed layouts without re-running the selector.
+// Package store is the content-addressed route store behind internal/serve:
+// the one in-memory route tier of a worker and, when given a directory, the
+// disk tier that lets a restarted daemon serve previously-routed layouts
+// without re-running the selector.
 //
 // Layout of the store: an in-memory index (key → canonical-space Record,
-// kept in recency order) over append-only segment files on disk. Every
+// kept in recency order) over append-only segment files on disk. Opened
+// without a directory the store is the index alone — no segments, no
+// flusher — which is how a worker without a store directory caches. Every
 // segment is an internal/ckpt frame — magic, version, length, SHA-256
 // trailer, written temp+fsync+rename — holding a batch of records under a
 // deterministic binary codec (segment.go), so a torn or bit-flipped
@@ -16,10 +19,12 @@
 // queues it for the background flusher, which lands pending batches as new
 // segments and, when the segment count passes a threshold, compacts —
 // rewriting the live index (sorted by key, so compacted bytes are
-// reproducible) into one segment and deleting the rest. An LRU-derived
-// admission policy bounds the index at MaxEntries: Get/Put refresh
-// recency, overflow evicts the coldest record, and the next compaction
-// drops evicted records from disk, bounding disk use too.
+// reproducible) into one segment and deleting the rest. Writers snapshot
+// the records they land under the index lock and encode, write and fsync
+// outside it, so a slow disk never stalls Get or Put. An LRU admission
+// policy bounds the index at MaxEntries: Get/Put refresh recency, overflow
+// evicts the coldest record, and the next compaction drops evicted records
+// from disk, bounding disk use too.
 //
 // Every segment carries the selector fingerprint its records were routed
 // with (selector.Fingerprint, the canonical Params()-order weight hash).
@@ -27,7 +32,7 @@
 // mismatched record at load — a retrained model can never serve a stale
 // route. Validation of individual records against a requesting layout is
 // the caller's job (internal/serve replays records through its
-// treeFromEntry Validate path and calls Drop on failures), so a hash
+// treeFromRecord Validate path and calls Drop on failures), so a hash
 // collision degrades to a miss.
 //
 // The store never reads the wall clock on the data path — segment bytes
@@ -43,13 +48,13 @@ import (
 	"sync"
 	"time"
 
-	"oarsmt/internal/errs"
 	"oarsmt/internal/obs"
 )
 
 // Options parameterises Open.
 type Options struct {
-	// Dir is the segment directory, created if needed. Required.
+	// Dir is the segment directory, created if needed. Empty opens a
+	// memory-only store: the same bounded index, never written to disk.
 	Dir string
 	// Fingerprint is the serving selector's weight hash; records stored
 	// under any other fingerprint are invalidated at Open.
@@ -92,10 +97,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Store is the persistent route store. All methods are safe for concurrent
-// use. Create one with Open, shut it down with Close.
+// Store is the route store. All methods are safe for concurrent use.
+// Create one with Open, shut it down with Close.
 type Store struct {
 	opts Options
+
+	// wmu serializes the segment writers (flush and compaction). They hold
+	// mu only to snapshot records and to publish the segments they land,
+	// never across encode, write or fsync.
+	wmu     sync.Mutex
+	nextSeq int // guarded by wmu
 
 	mu      sync.Mutex
 	items   map[Key]*list.Element // element value: *Record
@@ -103,7 +114,6 @@ type Store struct {
 	pending []Key                 // insertion-ordered keys awaiting a segment write
 	queued  map[Key]bool          // pending membership
 	segs    []segEntry            // live segment files, ascending seq
-	nextSeq int
 	closed  bool
 
 	kick     chan struct{}
@@ -128,14 +138,9 @@ type Store struct {
 // When the load left garbage behind — corrupt segments, invalidated
 // records, or more segments than CompactAfter — the directory is compacted
 // before Open returns, so a model swap immediately reclaims the disk.
+// With an empty Dir, Open returns a memory-only store and never fails.
 func Open(opts Options) (*Store, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("%w: store: Options.Dir is required", errs.ErrInvalidConfig)
-	}
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	s := &Store{
 		opts:     opts,
 		items:    make(map[Key]*list.Element),
@@ -146,6 +151,12 @@ func Open(opts Options) (*Store, error) {
 		loopDone: make(chan struct{}),
 	}
 	s.register(opts.Registry)
+	if !s.persistent() {
+		return s, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
 
 	entries, err := listSegments(opts.Dir)
 	if err != nil {
@@ -177,12 +188,13 @@ func Open(opts Options) (*Store, error) {
 			continue
 		}
 		for _, r := range recs {
+			r.loaded = true
 			s.insertLocked(r)
 		}
 		s.segs = append(s.segs, e)
 	}
 	if dirty || len(s.segs) > opts.CompactAfter {
-		if err := s.compactLocked(); err != nil {
+		if err := s.compact(); err != nil {
 			return nil, fmt.Errorf("store: compact %s: %w", opts.Dir, err)
 		}
 	}
@@ -190,6 +202,9 @@ func Open(opts Options) (*Store, error) {
 	go s.flushLoop()
 	return s, nil
 }
+
+// persistent reports whether the store has a segment directory.
+func (s *Store) persistent() bool { return s.opts.Dir != "" }
 
 // register resolves the store's instruments on the registry.
 func (s *Store) register(reg *obs.Registry) {
@@ -237,6 +252,9 @@ func (s *Store) Put(r *Record) {
 		return
 	}
 	s.insertLocked(r)
+	if !s.persistent() {
+		return
+	}
 	if !s.queued[r.Key] {
 		s.queued[r.Key] = true
 		s.pending = append(s.pending, r.Key)
@@ -281,31 +299,30 @@ func (s *Store) removeLocked(el *list.Element) {
 	delete(s.items, r.Key)
 	if s.queued[r.Key] {
 		delete(s.queued, r.Key)
-		// The key stays in the pending slice; flushLocked skips keys no
-		// longer queued, so an evicted record is never written out.
+		// The key stays in the pending slice; takePendingLocked skips keys
+		// no longer queued, so an evicted record is never written out.
 	}
 }
 
 // Flush synchronously writes the pending batch (if any) as a new segment.
 func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
-	return s.flushLocked()
+	return s.flush()
 }
 
 // Compact synchronously rewrites the live index into a single segment and
 // deletes every other segment file, dropping evicted and superseded
-// records from disk.
+// records from disk. It is a no-op on a memory-only store.
 func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
-	return s.compactLocked()
+	if !s.persistent() {
+		return nil
+	}
+	return s.compact()
 }
 
 // Close stops the background flusher and lands any pending records in a
@@ -318,11 +335,18 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	if !s.persistent() {
+		return nil
+	}
 	close(s.stop)
 	<-s.loopDone
+	return s.flush()
+}
+
+func (s *Store) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flushLocked()
+	return s.closed
 }
 
 // Len returns the live record count.
@@ -385,30 +409,26 @@ func (s *Store) flushLoop() {
 		case <-s.stop:
 			return
 		case <-s.kick:
-			s.mu.Lock()
 			// Near the segment bound, compact instead of flushing: the
 			// compaction lands the pending batch too, so the directory never
 			// needs a flush-then-compact double write.
 			var err error
-			if len(s.segs) >= s.opts.CompactAfter {
-				err = s.compactLocked()
+			if s.Segments() >= s.opts.CompactAfter {
+				err = s.compact()
 			} else {
-				err = s.flushLocked()
+				err = s.flush()
 			}
 			if err != nil {
 				s.writeErrors.Inc()
 			}
-			s.mu.Unlock()
 		}
 	}
 }
 
-// flushLocked writes the pending records (those still live in the index)
-// as one new segment, sorted by key so segment bytes are deterministic.
-func (s *Store) flushLocked() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
+// takePendingLocked empties the pending queue, returning the queued
+// records still live in the index. A write that fails after the take
+// leaves those records in the index only: the next compaction lands them.
+func (s *Store) takePendingLocked() []*Record {
 	recs := make([]*Record, 0, len(s.pending))
 	for _, k := range s.pending {
 		if !s.queued[k] {
@@ -420,6 +440,17 @@ func (s *Store) flushLocked() error {
 	}
 	s.pending = s.pending[:0]
 	clear(s.queued)
+	return recs
+}
+
+// flush writes the pending records as one new segment, sorted by key so
+// segment bytes are deterministic.
+func (s *Store) flush() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	recs := s.takePendingLocked()
+	s.mu.Unlock()
 	if len(recs) == 0 {
 		return nil
 	}
@@ -430,27 +461,28 @@ func (s *Store) flushLocked() error {
 		return err
 	}
 	s.nextSeq = seq + 1
+	s.mu.Lock()
 	s.segs = append(s.segs, segEntry{seq: seq, path: path})
+	s.mu.Unlock()
 	s.writes.Add(int64(len(recs)))
 	return nil
 }
 
-// compactLocked rewrites the live index into one fresh segment and deletes
-// every older segment file (corrupt and superseded ones included). Pending
-// records are part of the index, so a compaction also lands (and counts)
-// the unflushed batch.
-func (s *Store) compactLocked() error {
+// compact rewrites the live index into one fresh segment and deletes
+// every older segment file (corrupt and superseded ones included).
+// Pending records are part of the index, so a compaction also lands (and
+// counts) the unflushed batch.
+func (s *Store) compact() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	start := s.opts.now()
-	landed := 0
-	for _, k := range s.pending {
-		if s.queued[k] {
-			landed++
-		}
-	}
+	s.mu.Lock()
+	landed := len(s.takePendingLocked())
 	recs := make([]*Record, 0, s.ll.Len())
 	for el := s.ll.Front(); el != nil; el = el.Next() {
 		recs = append(recs, el.Value.(*Record))
 	}
+	s.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool { return lessKey(recs[i].Key, recs[j].Key) })
 
 	seq := s.nextSeq
@@ -464,7 +496,8 @@ func (s *Store) compactLocked() error {
 		kept = []segEntry{{seq: seq, path: path}}
 	}
 	// Delete everything that is not the compacted segment, including
-	// corrupt or foreign-fingerprint files skipped at Open.
+	// corrupt or foreign-fingerprint files skipped at Open. Only writers
+	// create segment files, and wmu excludes the other writer.
 	old, err := listSegments(s.opts.Dir)
 	if err != nil {
 		return err
@@ -477,9 +510,9 @@ func (s *Store) compactLocked() error {
 			return err
 		}
 	}
+	s.mu.Lock()
 	s.segs = kept
-	s.pending = s.pending[:0]
-	clear(s.queued)
+	s.mu.Unlock()
 	s.writes.Add(int64(landed))
 	s.compactions.Inc()
 	end := s.opts.now()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"oarsmt/internal/fault"
 	"oarsmt/internal/grid"
@@ -32,8 +33,8 @@ func testRecord(i int) *Record {
 	var k Key
 	k[0], k[1] = byte(i), byte(i>>8)
 	return &Record{
-		Key:  k,
-		H:    4 + i%3, V: 5, M: 2,
+		Key: k,
+		H:   4 + i%3, V: 5, M: 2,
 		Root: grid.Coord{H: i % 4, V: 1, M: 0},
 		Edges: [][2]grid.Coord{
 			{{H: 0, V: 0, M: 0}, {H: 1, V: 0, M: 0}},
@@ -136,7 +137,7 @@ func TestStorePutGetFlushReload(t *testing.T) {
 	}
 	for _, r := range recs {
 		got, ok := s.Get(r.Key)
-		if !ok || !recordsEqual(got, r) {
+		if !ok || !recordsEqual(got, r) || got.Loaded() {
 			t.Fatalf("Get(%v) = %+v, %v", r.Key[:2], got, ok)
 		}
 	}
@@ -151,7 +152,7 @@ func TestStorePutGetFlushReload(t *testing.T) {
 	}
 	for _, r := range recs {
 		got, ok := s2.Get(r.Key)
-		if !ok || !recordsEqual(got, r) {
+		if !ok || !recordsEqual(got, r) || !got.Loaded() {
 			t.Fatalf("reloaded Get(%v) = %+v, %v", r.Key[:2], got, ok)
 		}
 	}
@@ -277,6 +278,89 @@ func TestStoreInjectedTornWrite(t *testing.T) {
 	}
 	if st := s2.Stats(); st.CorruptSegs != 1 {
 		t.Errorf("corrupt segments = %d, want 1", st.CorruptSegs)
+	}
+}
+
+// TestStoreStalledWriteDoesNotBlockIndex pins the writer/index lock
+// split: while a flush or compaction is stalled on a slow disk (the
+// store.write fault point in Delay mode), Get and Put still return
+// promptly, and the stalled write lands intact afterwards.
+func TestStoreStalledWriteDoesNotBlockIndex(t *testing.T) {
+	const stall = time.Second
+	for _, op := range []string{"flush", "compact"} {
+		t.Run(op, func(t *testing.T) {
+			defer fault.Reset()
+			s := mustOpen(t, testOptions(t, t.TempDir()))
+			s.Put(testRecord(1))
+			fault.Set("store.write", fault.Options{Mode: fault.Delay, Delay: stall, Times: 1})
+			done := make(chan error, 1)
+			go func() {
+				if op == "flush" {
+					done <- s.Flush()
+				} else {
+					done <- s.Compact()
+				}
+			}()
+			// The writer empties the pending queue under the index lock
+			// before it stalls in the write.
+			for s.Stats().PendingWrites != 0 {
+				time.Sleep(time.Millisecond)
+			}
+			start := time.Now()
+			s.Put(testRecord(2))
+			if _, ok := s.Get(testRecord(1).Key); !ok {
+				t.Fatal("record 1 missing during the stalled write")
+			}
+			if _, ok := s.Get(testRecord(2).Key); !ok {
+				t.Fatal("record 2 missing during the stalled write")
+			}
+			if waited := time.Since(start); waited > stall/2 {
+				t.Fatalf("Get/Put waited %v behind a stalled %s", waited, op)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("%s finished (err %v) before the index calls were checked", op, err)
+			default:
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Writes != 1 || st.Segments != 1 || st.PendingWrites != 1 {
+				t.Errorf("after the stalled %s: %+v, want 1 write, 1 segment, 1 pending", op, st)
+			}
+		})
+	}
+}
+
+// TestStoreMemoryOnly: with no directory the store is the bounded index
+// alone — the same LRU admission and counters, nothing queued or written,
+// and Flush/Compact/Close succeed as no-ops.
+func TestStoreMemoryOnly(t *testing.T) {
+	opts := testOptions(t, "")
+	opts.MaxEntries = 3
+	s := mustOpen(t, opts)
+	for i := 0; i < 5; i++ {
+		s.Put(testRecord(i))
+	}
+	if _, ok := s.Get(testRecord(0).Key); ok {
+		t.Error("evicted record still served")
+	}
+	got, ok := s.Get(testRecord(4).Key)
+	if !ok || !recordsEqual(got, testRecord(4)) || got.Loaded() {
+		t.Fatalf("Get = %+v, %v", got, ok)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Entries != 3 || st.Evictions != 2 || st.PendingWrites != 0 || st.Writes != 0 || st.Segments != 0 {
+		t.Errorf("memory-only stats: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

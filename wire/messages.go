@@ -44,8 +44,9 @@ type RouteResponse struct {
 	// service returns to normal answers as soon as inference recovers.
 	Degraded bool `json:"degraded"`
 	CacheHit bool `json:"cacheHit"`
-	// StoreHit reports that the answer came from the persistent disk tier
-	// (and was promoted into the memory cache); CacheHit is also set.
+	// StoreHit reports that the answer came from a route record the
+	// worker loaded from its store directory at start; CacheHit is also
+	// set.
 	StoreHit      bool    `json:"storeHit,omitempty"`
 	BatchSize     int     `json:"batchSize"`
 	ElapsedMillis float64 `json:"elapsedMillis"`
@@ -60,7 +61,7 @@ type RouteResponse struct {
 	Hedged bool `json:"hedged,omitempty"`
 }
 
-// ReplicateRequest installs a finished route into a worker's cache tiers
+// ReplicateRequest installs a finished route into a worker's route tier
 // (POST /v1/replicate). The coordinator sends it to the next distinct
 // ring replica after a fresh non-degraded answer, so a shard's warm set
 // survives the death of its owner. The receiving worker re-validates the
@@ -87,9 +88,12 @@ type Stats struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	QueueDepth    int     `json:"queueDepth"`
 	QueueCapacity int     `json:"queueCapacity"`
-	// CacheEntries / CacheEvictions describe the memory tier; the Store*
-	// fields mirror the persistent disk tier (zero when -store-dir is
-	// unset), so /stats shows both tiers' sizes side by side.
+	// CacheEntries / CacheEvictions describe the worker's one route tier,
+	// bounded by -store-entries with -store-dir and by -cache without.
+	// The Store* fields are set only with -store-dir: StoreEntries and
+	// StoreEvictions then equal CacheEntries and CacheEvictions,
+	// StoreHits/StoreMisses count every tier lookup, and StoreServed
+	// counts answers from records loaded off disk at start.
 	CacheEntries   int   `json:"cacheEntries"`
 	CacheEvictions int64 `json:"cacheEvictions"`
 
@@ -103,10 +107,13 @@ type Stats struct {
 	StoreInvalidations int64 `json:"storeInvalidations,omitempty"`
 	StoreEvictions     int64 `json:"storeEvictions,omitempty"`
 
-	Submitted   int64 `json:"submitted"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Rejected    int64 `json:"rejected"`
+	Submitted int64 `json:"submitted"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Rejected  int64 `json:"rejected"`
+	// CacheHits counts answers from records admitted since start (loaded
+	// records count on StoreServed instead); CacheMisses counts requests
+	// that went to the queue.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 	Inferences  int64 `json:"inferences"`

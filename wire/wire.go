@@ -51,7 +51,7 @@ const (
 	PathMetrics = "/v1/metrics"
 
 	// PathReplicate installs an already-routed answer into a worker's
-	// cache tiers (write-through replication from the coordinator).
+	// route tier (write-through replication from the coordinator).
 	PathReplicate = "/v1/replicate"
 
 	// Cluster-plane paths, served by the coordinator.

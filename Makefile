@@ -134,6 +134,7 @@ fuzz:
 	go test -fuzz=FuzzTextFmt -fuzztime=30s ./internal/layout/
 	go test -fuzz=FuzzSegmentDecode -fuzztime=30s ./internal/store/
 	go test -fuzz=FuzzAllowAnnotation -fuzztime=30s ./internal/lint/
+	go test -fuzz=FuzzConstructMatchesReference -fuzztime=30s ./internal/route/
 
 # Regenerate every paper table and figure at CPU scale.
 experiments:

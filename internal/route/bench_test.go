@@ -66,6 +66,7 @@ func BenchmarkOARMSTBounded32x32(b *testing.B) {
 func BenchmarkOARMST128x128(b *testing.B) {
 	g, terms := benchInstance(b, 128, 128, 4, 64, 5000)
 	r := NewRouter(g)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.OARMST(terms); err != nil {
@@ -74,17 +75,19 @@ func BenchmarkOARMST128x128(b *testing.B) {
 	}
 }
 
-func BenchmarkSteinerTree32x32(b *testing.B) {
-	g, terms := benchInstance(b, 32, 32, 4, 8, 300)
+// benchSteinerTree times SteinerTree over the instance's pins plus
+// candidates free vertices drawn from a second seed.
+func benchSteinerTree(b *testing.B, g *grid.Graph, terms []grid.VertexID, candidates int) {
 	r := NewRouter(g)
 	rng := rand.New(rand.NewSource(2))
 	var sps []grid.VertexID
-	for len(sps) < 6 {
+	for len(sps) < candidates {
 		id := grid.VertexID(rng.Intn(g.NumVertices()))
 		if !g.Blocked(id) {
 			sps = append(sps, id)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.SteinerTree(terms, sps); err != nil {
@@ -93,17 +96,38 @@ func BenchmarkSteinerTree32x32(b *testing.B) {
 	}
 }
 
-func BenchmarkRetrace32x32(b *testing.B) {
+func BenchmarkSteinerTree32x32(b *testing.B) {
 	g, terms := benchInstance(b, 32, 32, 4, 8, 300)
+	benchSteinerTree(b, g, terms, 6)
+}
+
+func BenchmarkSteinerTree128x128(b *testing.B) {
+	g, terms := benchInstance(b, 128, 128, 4, 64, 5000)
+	benchSteinerTree(b, g, terms, 48)
+}
+
+// benchRetrace times two retrace passes over the instance's OARMST.
+func benchRetrace(b *testing.B, g *grid.Graph, terms []grid.VertexID) {
 	r := NewRouter(g)
 	tree, err := r.OARMST(terms)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Retrace(tree, terms, 2)
 	}
+}
+
+func BenchmarkRetrace32x32(b *testing.B) {
+	g, terms := benchInstance(b, 32, 32, 4, 8, 300)
+	benchRetrace(b, g, terms)
+}
+
+func BenchmarkRetrace128x128(b *testing.B) {
+	g, terms := benchInstance(b, 128, 128, 4, 64, 5000)
+	benchRetrace(b, g, terms)
 }
 
 func BenchmarkShortestPath64(b *testing.B) {

@@ -56,6 +56,65 @@ func TestOARMSTDeadline(t *testing.T) {
 	}
 }
 
+// TestRetraceDeadline retraces a detour-heavy tree on the same large maze
+// past its deadline. It must return promptly with a valid tree no worse
+// than its input, whether the deadline is seen before the first pass or
+// inside a reroute's reverse ball search or forward search.
+func TestRetraceDeadline(t *testing.T) {
+	g, err := grid.NewUniform(96, 96, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := make([]grid.VertexID, 0, 24)
+	for i := 0; i < 24; i++ {
+		terms = append(terms, g.Index((i*17)%96, (i*41)%96, i%4))
+	}
+	builder := NewRouter(g)
+	builder.BoundedExploration = true
+	tree, err := builder.OARMST(terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	time.Sleep(time.Millisecond) // ensure the deadline has passed
+	// live reports no error for its first polls, so the deadline first
+	// shows inside a search rather than at the top of a pass.
+	for _, ctx := range []context.Context{past, &livePolls{Context: past, live: 1}, &livePolls{Context: past, live: 3}} {
+		r := NewRouter(g)
+		r.SetContext(ctx)
+		start := time.Now()
+		got, _ := r.Retrace(tree, terms, 3)
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("cancelled Retrace took %v; cancellation is not prompt", elapsed)
+		}
+		if !errors.Is(r.Err(), context.DeadlineExceeded) {
+			t.Fatalf("Router.Err() = %v, want context.DeadlineExceeded", r.Err())
+		}
+		if err := got.Validate(g, terms); err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost > tree.Cost {
+			t.Fatalf("cancelled Retrace worsened the tree: %v -> %v", tree.Cost, got.Cost)
+		}
+	}
+}
+
+// livePolls wraps an expired context and hides its error from the first
+// live calls to Err.
+type livePolls struct {
+	context.Context
+	live int
+}
+
+func (c *livePolls) Err() error {
+	if c.live > 0 {
+		c.live--
+		return nil
+	}
+	return c.Context.Err()
+}
+
 // TestSetContextBackgroundIsFree checks that installing the background
 // context disables polling and routing still succeeds.
 func TestSetContextBackground(t *testing.T) {

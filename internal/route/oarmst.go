@@ -31,6 +31,71 @@ func (r *Router) OARMST(terminals []grid.VertexID) (*Tree, error) {
 		}
 	}
 
+	if !r.BoundedExploration && r.Bounds == nil {
+		tree, absorbed, err := r.oarmstIncremental(terms)
+		if !absorbed {
+			return tree, err
+		}
+		// An absorbed edge cost voids the incremental invariants; the
+		// per-step loop below is exact for any costs.
+	}
+	return r.oarmstPerStep(terms)
+}
+
+// oarmstIncremental is the maze-Prim of OARMST with one label field and
+// one heap kept across Prim steps: each step seeds only the vertices the
+// previous path added at distance 0 and resumes the search, so a vertex
+// is re-relaxed only where its distance to the grown tree improved (see
+// settle for why the result matches a fresh search per step). absorbed
+// reports a relaxation whose cost vanished in the label's rounding; the
+// caller then rebuilds with the per-step loop.
+func (r *Router) oarmstIncremental(terms []grid.VertexID) (tree *Tree, absorbed bool, err error) {
+	r.nextEpoch()
+	r.nextAuxEpoch()
+	r.heap = r.heap[:0]
+	r.ctxErr = nil
+	for _, t := range terms[1:] {
+		r.tag[t] = r.repoch
+	}
+	isTarget := func(v grid.VertexID) bool { return r.tag[v] == r.repoch }
+	tree = newTree(terms[0])
+	r.seed(terms[0])
+	for range terms[1:] { // one Prim step joins one terminal
+		if r.cancelled() || r.injectFault() {
+			return nil, false, fmt.Errorf("route: OARMST: %w", r.ctxErr)
+		}
+		t, ok, absorbed := r.settle(isTarget, true)
+		if absorbed {
+			return nil, true, nil
+		}
+		if !ok {
+			if r.ctxErr != nil {
+				return nil, false, fmt.Errorf("route: OARMST: %w", r.ctxErr)
+			}
+			// Report a deterministic representative of the unreachable
+			// set: the smallest terminal still tagged.
+			worst := terms[1]
+			for _, v := range terms[1:] {
+				if isTarget(v) {
+					worst = v
+					break
+				}
+			}
+			return nil, false, &ErrUnreachable{Terminal: worst, Coord: r.g.CoordOf(worst)}
+		}
+		r.tag[t] = 0
+		for _, v := range tree.addPath(r.g, r.trace(t)) {
+			r.seed(v)
+		}
+	}
+	return tree, false, nil
+}
+
+// oarmstPerStep is the maze-Prim of OARMST with a fresh multi-source
+// search per Prim step. It serves bounded exploration, whose windows
+// change every step, searches under caller-set Bounds, and builds that
+// meet an absorbed edge cost.
+func (r *Router) oarmstPerStep(terms []grid.VertexID) (*Tree, error) {
 	tree := newTree(terms[0])
 	remaining := make(map[grid.VertexID]struct{}, len(terms)-1)
 	for _, t := range terms[1:] {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"sort"
 
 	"oarsmt/internal/grid"
@@ -30,6 +31,7 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 		termSet[term] = struct{}{}
 	}
 	terms := dedupSorted(terminals)
+	cmin := minEdgeCost(r.g)
 
 	improvedPasses := 0
 	for pass := 0; pass < maxPasses; pass++ {
@@ -62,7 +64,7 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 			}
 			// Deterministic source order (map iteration is random).
 			sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-			newPath, newCost, ok := r.ShortestToTarget(sources, func(v grid.VertexID) bool { return v == term })
+			newPath, newCost, ok := r.reroute(sources, term, cmin)
 			if ok && newCost < pathCost-1e-9 {
 				addPathAdj(adj, newPath)
 				improved = true
@@ -98,6 +100,124 @@ func (r *Router) Retrace(t *Tree, terminals []grid.VertexID, maxPasses int) (*Tr
 		out.addEdge(r.g, e.A, e.B)
 	}
 	return out, improvedPasses
+}
+
+// reroute returns the cheapest path from sources to the detached terminal
+// term, bit-identical to ShortestToTarget(sources, v == term), with the
+// same one fault point and one search count.
+//
+// It first runs a reverse search from term out to its distance to the
+// nearest source, widened by a float slack, and then restricts the
+// forward search to that ball. Every vertex on a cheapest source-to-term
+// path lies in the ball (its distance to term is at most the path's), and
+// so does every vertex that achieves such a vertex's label, so the forward
+// search pops them in the same (dist, id) order and picks the same
+// predecessors. That argument needs every relaxation below the ball
+// radius to raise its label; when the cheapest edge cost cmin could be
+// absorbed at that magnitude, the forward search runs unrestricted.
+func (r *Router) reroute(sources []grid.VertexID, term grid.VertexID, cmin float64) ([]grid.VertexID, float64, bool) {
+	r.ctxErr = nil
+	if r.injectFault() {
+		return nil, 0, false
+	}
+	isTarget := func(v grid.VertexID) bool { return v == term }
+	if r.Bounds != nil {
+		return r.search(sources, isTarget)
+	}
+	r.nextAuxEpoch()
+	for _, s := range sources {
+		r.tag[s] = r.repoch
+	}
+	radius, ok := r.reverseBall(term)
+	if !ok {
+		mSearches.Inc() // the forward search this reroute stands for
+		return nil, 0, false
+	}
+	if !(cmin > math.Nextafter(radius, math.Inf(1))-radius) {
+		return r.search(sources, isTarget)
+	}
+	r.ball, r.ballR = true, radius
+	defer func() { r.ball = false }()
+	return r.search(sources, isTarget)
+}
+
+// reverseBall runs a Dijkstra from term over the reverse labels rdist and
+// settles every vertex within radius of term. The radius is term's
+// distance to the nearest tagged vertex, widened by the worst relative
+// rounding gap between a forward and a reverse float sum over a path of at
+// most NumVertices edges (about 4·n·2⁻⁵³; the slack doubles it). ok is
+// false when no tagged vertex is reachable or the context is cancelled.
+func (r *Router) reverseBall(term grid.VertexID) (radius float64, ok bool) {
+	slack := float64(r.g.NumVertices()) * 0x1p-50
+	r.heap = r.heap[:0]
+	r.rseen[term] = r.repoch
+	r.rdist[term] = 0
+	r.heap.push(pair{0, term})
+	radius = math.Inf(1)
+	pops, relaxations := 0, 0
+	defer func() {
+		mHeapPops.Add(int64(pops))
+		mRelaxations.Add(int64(relaxations))
+	}()
+	for len(r.heap) > 0 {
+		pops++
+		if pops%ctxCheckInterval == 0 && r.cancelled() {
+			return 0, false
+		}
+		p := r.heap.pop()
+		if p.d > r.rdist[p.id] { // stale entry
+			continue
+		}
+		if p.d > radius {
+			break
+		}
+		if !ok && r.tag[p.id] == r.repoch {
+			radius, ok = p.d+p.d*slack, true
+		}
+		r.nbrBuf = r.g.Neighbors(p.id, r.nbrBuf[:0])
+		for _, nb := range r.nbrBuf {
+			w := nb.ID
+			nd := p.d + nb.Cost
+			if nd <= radius && (r.rseen[w] != r.repoch || nd < r.rdist[w]) {
+				relaxations++
+				r.rseen[w] = r.repoch
+				r.rdist[w] = nd
+				r.heap.push(pair{nd, w})
+			}
+		}
+	}
+	return radius, ok
+}
+
+// minEdgeCost returns a lower bound on every edge cost of the graph: the
+// cheapest interval times the smallest layer scale, or the via cost
+// (+Inf for a graph without edges).
+func minEdgeCost(g *grid.Graph) float64 {
+	minOf := func(s []float64) float64 {
+		m := math.Inf(1)
+		for _, v := range s {
+			m = min(m, v)
+		}
+		return m
+	}
+	lo := math.Inf(1)
+	if g.M > 1 {
+		lo = g.ViaCost
+	}
+	hs, vs := 1.0, 1.0
+	if g.HScale != nil {
+		hs = minOf(g.HScale)
+	}
+	if g.VScale != nil {
+		vs = minOf(g.VScale)
+	}
+	if len(g.DX) > 0 {
+		lo = min(lo, minOf(g.DX)*hs)
+	}
+	if len(g.DY) > 0 {
+		lo = min(lo, minOf(g.DY)*vs)
+	}
+	return lo
 }
 
 // danglingPath walks from a degree-1 terminal through degree-2

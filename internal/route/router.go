@@ -47,6 +47,20 @@ type Router struct {
 	heap   pairHeap
 	nbrBuf []grid.Neighbor
 
+	// Second-tier scratch, allocated on first use and tagged by its own
+	// epoch: rdist/rseen hold Retrace's reverse-search labels, and tag
+	// marks a vertex set for the current build or reroute (the remaining
+	// terminals of an OARMST build, the tree vertices of a reroute).
+	rdist  []float64
+	rseen  []uint32
+	tag    []uint32
+	repoch uint32
+
+	// ball, when set, restricts a reroute's forward search to the
+	// vertices whose reverse label is at most ballR (see Router.reroute).
+	ball  bool
+	ballR float64
+
 	// ctx, when non-nil, is consulted every ctxCheckInterval heap pops;
 	// a cancelled search aborts with ok == false and records the cause in
 	// ctxErr so the tree builders can surface it as an error.
@@ -162,11 +176,40 @@ func (r *Router) cancelled() bool {
 func (r *Router) nextEpoch() {
 	r.epoch++
 	if r.epoch == 0 { // wrapped: clear tags and restart
-		for i := range r.seen {
-			r.seen[i] = 0
-		}
+		clear(r.seen)
 		r.epoch = 1
 	}
+}
+
+// nextAuxEpoch starts a fresh epoch of the second-tier scratch,
+// allocating it on first use.
+func (r *Router) nextAuxEpoch() {
+	if r.tag == nil {
+		n := r.g.NumVertices()
+		r.rdist = make([]float64, n)
+		r.rseen = make([]uint32, n)
+		r.tag = make([]uint32, n)
+	}
+	r.repoch++
+	if r.repoch == 0 {
+		clear(r.rseen)
+		clear(r.tag)
+		r.repoch = 1
+	}
+}
+
+// injectFault fires the route.dijkstra fault point once per search. The
+// injected error travels the same road as a context cancellation:
+// recorded on ctxErr, surfaced by the tree builders.
+func (r *Router) injectFault() bool {
+	if !fault.Enabled() {
+		return false
+	}
+	if err := fault.Inject("route.dijkstra"); err != nil {
+		r.ctxErr = err
+		return true
+	}
+	return false
 }
 
 // ShortestToTarget runs a multi-source Dijkstra from sources and returns
@@ -175,71 +218,119 @@ func (r *Router) nextEpoch() {
 // ends, target first) and the path cost. ok is false when no target is
 // reachable (within the bounds, if set).
 func (r *Router) ShortestToTarget(sources []grid.VertexID, isTarget func(grid.VertexID) bool) (path []grid.VertexID, cost float64, ok bool) {
-	r.nextEpoch()
 	r.ctxErr = nil
-	if fault.Enabled() {
-		// The injected error travels the same road as a context
-		// cancellation: recorded on ctxErr, surfaced by the tree builders.
-		if err := fault.Inject("route.dijkstra"); err != nil {
-			r.ctxErr = err
-			return nil, 0, false
+	if r.injectFault() {
+		return nil, 0, false
+	}
+	return r.search(sources, isTarget)
+}
+
+// search is ShortestToTarget without the fault point: a fresh Dijkstra
+// from sources, restricted to r.Bounds and the reroute ball when set.
+func (r *Router) search(sources []grid.VertexID, isTarget func(grid.VertexID) bool) (path []grid.VertexID, cost float64, ok bool) {
+	r.nextEpoch()
+	r.heap = r.heap[:0]
+	for _, s := range sources {
+		if r.g.Blocked(s) || !r.admits(s) || r.seen[s] == r.epoch {
+			continue
+		}
+		r.seed(s)
+	}
+	target, ok, _ := r.settle(isTarget, false)
+	if !ok {
+		return nil, 0, false
+	}
+	return r.trace(target), r.dist[target], true
+}
+
+// seed makes v a search source: label 0, no predecessor.
+func (r *Router) seed(v grid.VertexID) {
+	r.seen[v] = r.epoch
+	r.dist[v] = 0
+	r.prev[v] = -1
+	r.heap.push(pair{0, v})
+}
+
+// admits reports whether the active restrictions (r.Bounds, the reroute
+// ball) let a search visit v.
+func (r *Router) admits(v grid.VertexID) bool {
+	if r.Bounds != nil && !r.Bounds.Contains(r.g.CoordOf(v)) {
+		return false
+	}
+	return !r.ball || (r.rseen[v] == r.repoch && r.rdist[v] <= r.ballR)
+}
+
+// trace returns the search path from v back to its source, v first. A
+// path longer than the graph means prev holds a cycle, a broken search
+// invariant: it panics rather than grow the path without bound.
+func (r *Router) trace(v grid.VertexID) []grid.VertexID {
+	var path []grid.VertexID
+	for ; v != -1; v = r.prev[v] {
+		path = append(path, v)
+		if len(path) > len(r.prev) {
+			panic("route: prev cycle in search path")
 		}
 	}
-	r.heap = r.heap[:0]
+	return path
+}
+
+// settle pops the heap until it settles a vertex for which isTarget is
+// true and returns it; ok is false when the heap runs dry or the context
+// is cancelled first. Each call counts as one search.
+//
+// With incremental set, the labels, predecessors and heap are those a
+// previous settle left behind plus newly seeded sources, so a vertex may
+// be popped again at a smaller label. Two rules make the result match a
+// fresh search from the union of all sources popping in (dist, id) order:
+// labels only decrease, and an equal-label relaxation moves prev to the
+// smaller (dist, id) achiever. Both rely on every relaxation strictly
+// increasing the label; one whose cost is absorbed (p.d + c == p.d)
+// stops the search with absorbed set, before the equal-label rule could
+// close a prev cycle.
+func (r *Router) settle(isTarget func(grid.VertexID) bool, incremental bool) (target grid.VertexID, ok, absorbed bool) {
 	pops, relaxations := 0, 0
 	defer func() {
 		mSearches.Inc()
 		mHeapPops.Add(int64(pops))
 		mRelaxations.Add(int64(relaxations))
 	}()
-	for _, s := range sources {
-		if r.g.Blocked(s) {
-			continue
-		}
-		if r.Bounds != nil && !r.Bounds.Contains(r.g.CoordOf(s)) {
-			continue
-		}
-		if r.seen[s] == r.epoch {
-			continue
-		}
-		r.seen[s] = r.epoch
-		r.dist[s] = 0
-		r.prev[s] = -1
-		r.heap.push(pair{0, s})
-	}
+	restricted := r.Bounds != nil || r.ball
 	for len(r.heap) > 0 {
 		pops++
 		if pops%ctxCheckInterval == 0 && r.cancelled() {
-			return nil, 0, false
+			return -1, false, false
 		}
 		p := r.heap.pop()
 		if p.d > r.dist[p.id] { // stale entry
 			continue
 		}
 		if isTarget(p.id) {
-			// Trace back to the source.
-			path = path[:0]
-			for v := p.id; v != -1; v = r.prev[v] {
-				path = append(path, v)
-			}
-			return path, p.d, true
+			return p.id, true, false
 		}
 		r.nbrBuf = r.g.Neighbors(p.id, r.nbrBuf[:0])
 		for _, nb := range r.nbrBuf {
-			if r.Bounds != nil && !r.Bounds.Contains(r.g.CoordOf(nb.ID)) {
+			w := nb.ID
+			if restricted && !r.admits(w) {
 				continue
 			}
 			nd := p.d + nb.Cost
-			if r.seen[nb.ID] != r.epoch || nd < r.dist[nb.ID] {
+			if incremental && !(p.d < nd) {
+				return -1, false, true
+			}
+			if r.seen[w] != r.epoch || nd < r.dist[w] {
 				relaxations++
-				r.seen[nb.ID] = r.epoch
-				r.dist[nb.ID] = nd
-				r.prev[nb.ID] = p.id
-				r.heap.push(pair{nd, nb.ID})
+				r.seen[w] = r.epoch
+				r.dist[w] = nd
+				r.prev[w] = p.id
+				r.heap.push(pair{nd, w})
+			} else if incremental && nd == r.dist[w] {
+				if q := r.prev[w]; p.d < r.dist[q] || (p.d == r.dist[q] && p.id < q) {
+					r.prev[w] = p.id
+				}
 			}
 		}
 	}
-	return nil, 0, false
+	return -1, false, false
 }
 
 // ShortestPath returns the cheapest path between two vertices (from src,
@@ -255,50 +346,60 @@ type pair struct {
 	id grid.VertexID
 }
 
-type pairHeap []pair
-
-func (h pairHeap) less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].id < h[j].id
+// before orders heap entries by distance, then vertex ID.
+func (a pair) before(b pair) bool {
+	return a.d < b.d || (a.d == b.d && a.id < b.id)
 }
+
+// pairHeap is a 4-ary min-heap of pairs. No two entries compare equal (a
+// vertex is pushed again only at a strictly smaller label), so the pop
+// sequence is fixed by the (d, id) order alone, whatever the heap's shape.
+type pairHeap []pair
 
 func (h *pairHeap) push(p pair) {
 	*h = append(*h, p)
-	i := len(*h) - 1
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h).less(parent, i) {
+		parent := (i - 1) / 4
+		if !p.before(s[parent]) {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = p
 }
 
 func (h *pairHeap) pop() pair {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		best := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if s[j].before(s[best]) {
+				best = j
+			}
+		}
+		if !s[best].before(last) {
+			break
+		}
+		s[i] = s[best]
+		i = best
 	}
+	s[i] = last
 	return top
 }
 
